@@ -22,8 +22,9 @@
 //! mechanisms keep speculation from outrunning the drop cascade: workers
 //! **pace** themselves to within a few chunks of the commit frontier
 //! (past it they park on a condvar instead of solving faults the cascade
-//! is about to settle — the reason a 4-worker run on a single hardware
-//! thread costs about the same as the in-line engine), and every
+//! is about to settle — the reason a 4-worker run oversubscribing its
+//! host costs about the same as the in-line engine; E14 measured that
+//! on one hardware thread), and every
 //! committed detecting vector is republished through a [`CommitLog`] that
 //! workers cone-simulate claimed faults against before solving. Workers also **share learnt clauses**: short/low-LBD lemmas whose
 //! literals all map to gate slots are translated into slot space, published
@@ -80,7 +81,7 @@ use crate::engine::{
 };
 use crate::fault::{Fault, FaultSite};
 use crate::fsim::{fault_simulate_cone_jobs_with, fault_simulate_cone_with, ConeSim};
-use crate::podem::{podem, PodemResult};
+use crate::podem::{Podem, PodemResult, PodemStats};
 
 /// PODEM backtrack budget for the structural pre-pass of
 /// [`SharedCnf::classify`]. Deliberately modest: on the MCNC circuits every
@@ -307,6 +308,8 @@ pub struct RedundancyScan {
     /// Faults that reached a per-fault decision procedure (PODEM or SAT)
     /// across every worker — what the prescreens and drops did not settle.
     pub engine_calls: u64,
+    /// What the PODEM pre-pass decided of those calls.
+    pub podem: PodemStats,
     /// Certification accounting when [`ParallelOptions::certify`] is on.
     /// Covers every certificate the workers emitted, including
     /// speculative verdicts past the first committed redundancy — a
@@ -335,6 +338,8 @@ pub struct ClassifyReport {
     /// prescreen coverage — [`Stats::sat_calls`] alone undercounts it
     /// because PODEM settles most faults without touching the solver.
     pub engine_calls: u64,
+    /// What the PODEM pre-pass decided of those calls.
+    pub podem: PodemStats,
     /// Present iff certification was requested; any
     /// [`CertificationReport::proofs_failed`] is a soundness alarm.
     pub certification: Option<CertificationReport>,
@@ -358,12 +363,13 @@ impl ClassifyReport {
             .count();
         let mut out = format!(
             "{{\"faults\": {}, \"testable\": {}, \"redundant\": {}, \"unknown\": {}, \
-             \"engine_calls\": {}, \"solver\": {}",
+             \"engine_calls\": {}, {}, \"solver\": {}",
             self.testability.faults.len(),
             self.testability.testable_count(),
             redundant,
             unknown,
             self.engine_calls,
+            self.podem.render_json_fields(),
             self.solver.render_json()
         );
         let reasons = self.testability.unknown_reasons();
@@ -541,6 +547,10 @@ pub(crate) struct SharedCnf<'n> {
     /// Faults this context actually ran a decision procedure on (PODEM
     /// and/or SAT) — the faults no prescreen or drop settled.
     engine_calls: u64,
+    /// The PODEM pre-pass workspace, reused across faults (the network is
+    /// fixed for the context's lifetime), and what it decided.
+    podem: Podem<'n>,
+    podem_stats: PodemStats,
     /// Per-fault solver budget ([`ParallelOptions::fault_budget`]); an
     /// exhausted query degrades its fault to [`Testability::Unknown`].
     budget: Option<FaultBudget>,
@@ -589,6 +599,8 @@ impl<'n> SharedCnf<'n> {
             visit: vec![false; n],
             certification: certify.then(CertificationReport::default),
             engine_calls: 0,
+            podem: Podem::new(net, topo),
+            podem_stats: PodemStats::default(),
             budget: None,
         }
     }
@@ -841,7 +853,8 @@ impl<'n> SharedCnf<'n> {
     ///   learnt clauses this solver happens to carry.
     pub(crate) fn classify(&mut self, fault: Fault) -> Testability {
         self.engine_calls += 1;
-        let result = podem(self.net, fault, PODEM_BUDGET);
+        let result = self.podem.run(fault, PODEM_BUDGET);
+        self.podem_stats.record(&result);
         match result.test_vector() {
             Some(t) => Testability::Testable(t),
             // In certify mode PODEM's redundancy verdicts (decision-tree
@@ -1081,6 +1094,7 @@ pub fn classify_faults_report(
         testability: TestabilityReport { faults, verdicts },
         solver: outcome.solver,
         engine_calls: outcome.engine_calls,
+        podem: outcome.podem,
         certification: outcome.certification,
     }
 }
@@ -1108,6 +1122,7 @@ pub fn scan_for_redundancy(
         tests: outcome.sat_tests,
         solver: outcome.solver,
         engine_calls: outcome.engine_calls,
+        podem: outcome.podem,
         certification: outcome.certification,
         unknown,
     }
@@ -1120,6 +1135,7 @@ struct Outcome {
     solver: Stats,
     certification: Option<CertificationReport>,
     engine_calls: u64,
+    podem: PodemStats,
 }
 
 /// A worker's message for survivor slot `k`: a speculative verdict, or a
@@ -1162,6 +1178,7 @@ fn run(
         solver: Stats::default(),
         certification: opts.certify.then(CertificationReport::default),
         engine_calls: 0,
+        podem: PodemStats::default(),
     };
     if survivors.is_empty() {
         return outcome;
@@ -1396,6 +1413,7 @@ impl<'s> Committer<'s> {
 struct LostWork {
     solver: Stats,
     engine_calls: u64,
+    podem: PodemStats,
     certification: Option<CertificationReport>,
 }
 
@@ -1404,6 +1422,7 @@ impl LostWork {
     fn salvage(&mut self, ctx: &mut SharedCnf<'_>) {
         self.solver.merge(&ctx.solver.stats());
         self.engine_calls += ctx.engine_calls;
+        self.podem.merge(&ctx.podem_stats);
         if let Some(mine) = ctx.certification.take() {
             self.certification
                 .get_or_insert_with(CertificationReport::default)
@@ -1484,6 +1503,8 @@ fn run_sequential(
     outcome.solver.merge(&ctx.solver.stats());
     outcome.solver.merge(&lost.solver);
     outcome.engine_calls += ctx.engine_calls + lost.engine_calls;
+    outcome.podem.merge(&ctx.podem_stats);
+    outcome.podem.merge(&lost.podem);
     if let Some(total) = outcome.certification.as_mut() {
         if let Some(mine) = ctx.certification.take() {
             total.merge(&mine);
@@ -1569,7 +1590,7 @@ fn run_parallel(
     // Each worker folds its solver counters and certification accounting
     // in here as it exits; verdicts themselves still travel the in-order
     // commit path, so the diagnostics never influence the report.
-    let agg: Mutex<(Stats, CertificationReport, u64)> = Mutex::new(Default::default());
+    let agg: Mutex<(Stats, CertificationReport, u64, PodemStats)> = Mutex::new(Default::default());
     std::thread::scope(|s| {
         for _ in 0..jobs {
             let (next, stop, state, frontier_cv) = (&next, &stop, &state, &frontier_cv);
@@ -1721,6 +1742,8 @@ fn run_parallel(
                 total.0.merge(&ctx.solver.stats());
                 total.0.merge(&lost.solver);
                 total.2 += ctx.engine_calls + lost.engine_calls;
+                total.3.merge(&ctx.podem_stats);
+                total.3.merge(&lost.podem);
                 if let Some(mine) = ctx.certification.take() {
                     total.1.merge(&mine);
                 }
@@ -1730,7 +1753,8 @@ fn run_parallel(
             });
         }
     });
-    let (stats, certs, engine_calls) = agg.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let (stats, certs, engine_calls, podem) =
+        agg.into_inner().unwrap_or_else(PoisonError::into_inner);
     let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
     debug_assert!(
         stop.load(Ordering::Acquire) || st.frontier == num_chunks,
@@ -1739,6 +1763,7 @@ fn run_parallel(
     let outcome = st.outcome;
     outcome.solver.merge(&stats);
     outcome.engine_calls += engine_calls;
+    outcome.podem.merge(&podem);
     if let Some(total) = outcome.certification.as_mut() {
         total.merge(&certs);
     }

@@ -58,4 +58,4 @@ pub use fsim::{
     fault_simulate_cone_with, fault_simulate_jobs, ConeSim, CoverageReport,
 };
 pub use inject::{faulty_copy, inject_fault_in_place};
-pub use podem::{podem, Podem, PodemResult};
+pub use podem::{podem, Podem, PodemResult, PodemStats};

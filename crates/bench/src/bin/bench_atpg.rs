@@ -235,11 +235,11 @@ fn main() {
     }
 
     // Scheduler-overhead tripwire: on every non-trivial row the worker
-    // pool must keep pace with the in-line shared engine. On a single
-    // hardware thread the pool's whole cost IS its overhead, so this
+    // pool must keep pace with the in-line shared engine. When the pool
+    // oversubscribes its host its whole cost IS its overhead, so this
     // bounds it directly; the 25% budget absorbs timer noise and OS
     // multiplexing jitter on starved CI machines (run-to-run spread on a
-    // 1-CPU box is ±10% by itself) while still catching the failure mode
+    // 1-CPU box was ±10% by itself, E14) while still catching the failure mode
     // the gate exists for — unbounded speculation, which showed up as a
     // >3x loss before the pacing window and commit-log pre-checks.
     if cfg.gate {

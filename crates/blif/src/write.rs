@@ -4,34 +4,64 @@
 //! kind; the result round-trips through [`crate::parse_blif`] to an
 //! equivalent network (structure may differ — covers are re-elaborated).
 
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use kms_netlist::{GateId, GateKind, Network};
+use kms_netlist::{GateKind, Network};
 
-fn signal_name(net: &Network, id: GateId) -> String {
-    match &net.gate(id).name {
-        Some(n) => n.clone(),
-        None => format!("n{}", id.index()),
+/// The signal name of every gate slot: the gate's own name, or `n<index>`
+/// for an unnamed gate. A read network keeps its source names, so
+/// `n<index>` may already name another signal; a generated name then
+/// takes the first suffix `_1`, `_2`, … that no gate or output uses.
+/// Generated names cannot collide with each other: only slot `i` has the
+/// stem `n<i>`.
+fn signal_names(net: &Network) -> Vec<Cow<'_, str>> {
+    // Only a name starting with `n` can equal a generated one.
+    let taken: HashSet<&str> = net
+        .gate_ids()
+        .filter_map(|id| net.gate(id).name.as_deref())
+        .chain(net.outputs().iter().map(|o| o.name.as_str()))
+        .filter(|n| n.starts_with('n'))
+        .collect();
+    let mut names = vec![Cow::Borrowed(""); net.num_gate_slots()];
+    for id in net.gate_ids() {
+        names[id.index()] = match &net.gate(id).name {
+            Some(n) => Cow::Borrowed(n.as_str()),
+            None => {
+                let mut name = format!("n{}", id.index());
+                let stem_len = name.len();
+                let mut k = 0;
+                while taken.contains(name.as_str()) {
+                    k += 1;
+                    name.truncate(stem_len);
+                    let _ = write!(name, "_{k}");
+                }
+                Cow::Owned(name)
+            }
+        };
     }
+    names
 }
 
 /// Renders `net` as BLIF text.
 ///
-/// Unnamed gates get generated names `n<id>`. Gate and wire delays are not
-/// representable in BLIF and are dropped; re-apply a
-/// [`kms_netlist::DelayModel`] after reading back.
+/// Unnamed gates get generated names `n<id>`, suffixed where that name is
+/// already taken. Gate and wire delays are not representable in BLIF and
+/// are dropped; re-apply a [`kms_netlist::DelayModel`] after reading back.
 pub fn write_blif(net: &Network) -> String {
+    let names = signal_names(net);
     let mut s = String::new();
     let _ = writeln!(s, ".model {}", net.name());
-    let inames: Vec<String> = net.inputs().iter().map(|&i| signal_name(net, i)).collect();
+    let inames: Vec<&str> = net.inputs().iter().map(|&i| &*names[i.index()]).collect();
     let _ = writeln!(s, ".inputs {}", inames.join(" "));
     let onames: Vec<String> = net.outputs().iter().map(|o| o.name.clone()).collect();
     let _ = writeln!(s, ".outputs {}", onames.join(" "));
 
     for id in net.topo_order() {
         let g = net.gate(id);
-        let out = signal_name(net, id);
-        let ins: Vec<String> = g.pins.iter().map(|p| signal_name(net, p.src)).collect();
+        let out = &names[id.index()];
+        let ins: Vec<&str> = g.pins.iter().map(|p| &*names[p.src.index()]).collect();
         match g.kind {
             GateKind::Input => {}
             GateKind::Const(v) => {
@@ -87,8 +117,8 @@ pub fn write_blif(net: &Network) -> String {
     // Emit buffers for outputs driven by inputs or by gates whose names
     // differ from the output name.
     for o in net.outputs() {
-        let drv = signal_name(net, o.src);
-        if drv != o.name {
+        let drv = &names[o.src.index()];
+        if *drv != o.name.as_str() {
             let _ = writeln!(s, ".names {drv} {}\n1 1", o.name);
         }
     }

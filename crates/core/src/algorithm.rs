@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use kms_analysis::SignatureInterner;
-use kms_atpg::{Engine, Fault, ParallelOptions};
+use kms_atpg::{Engine, Fault, ParallelOptions, PodemStats};
 use kms_netlist::{transform, DirtySet, NetlistError, Network, Path};
 use kms_opt::naive_redundancy_removal;
 use kms_proof::CertificationReport;
@@ -199,6 +199,10 @@ pub struct KmsReport {
     /// SAT search counters of the final removal phase (zeros for the
     /// per-fault engines, which don't report).
     pub atpg_solver: Stats,
+    /// PODEM pre-pass counters of the final removal phase: faults the
+    /// removal ran PODEM on, proved redundant by it, and let fall
+    /// through to SAT (zeros for the per-fault engines).
+    pub atpg_podem: PodemStats,
     /// The merged proof-checking ledger of a [`KmsOptions::certify`] run:
     /// oracle-phase unsensitizability certificates plus removal-phase
     /// redundancy certificates. `None` when certification was off.
@@ -224,7 +228,7 @@ impl KmsReport {
              \"dropped_longest_paths\": {}, \"unknown\": {}, \
              \"timings_ns\": {{\"path_enum\": {}, \"oracle\": {}, \"transform\": {}, \
              \"atpg\": {}, \"engine\": {}}}, \
-             \"oracle_solver\": {}, \"atpg_solver\": {}",
+             \"oracle_solver\": {}, \"atpg_solver\": {}, {}",
             self.iterations.len(),
             self.removed_redundancies.len(),
             self.gates_before,
@@ -243,7 +247,8 @@ impl KmsReport {
             t.atpg.as_nanos(),
             t.engine.as_nanos(),
             self.oracle_solver.render_json(),
-            self.atpg_solver.render_json()
+            self.atpg_solver.render_json(),
+            self.atpg_podem.render_json_fields()
         );
         if let Some(cert) = &self.certification {
             out.push_str(", \"certification\": ");
@@ -810,6 +815,7 @@ pub fn kms_with_control(
         timings,
         oracle_solver,
         atpg_solver: naive.solver,
+        atpg_podem: naive.podem,
         certification,
         unknown: naive.unknown,
     }))
@@ -1141,6 +1147,7 @@ mod tests {
         if solver_stats {
             assert_eq!(a.oracle_solver, b.oracle_solver, "{context}");
             assert_eq!(a.atpg_solver, b.atpg_solver, "{context}");
+            assert_eq!(a.atpg_podem, b.atpg_podem, "{context}");
         }
         match (&a.certification, &b.certification) {
             (None, None) => {}

@@ -7,7 +7,7 @@
 //! algorithm (in `kms-core`) is the delay-safe alternative; the
 //! `naive_vs_kms` experiment (E5) regenerates the comparison.
 
-use kms_atpg::{Engine, Fault, FaultSite};
+use kms_atpg::{Engine, Fault, FaultSite, PodemStats};
 use kms_netlist::{transform, Network};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
@@ -25,6 +25,9 @@ pub struct NaiveRemovalReport {
     /// shared-CNF engine. All zeros for the per-fault engines (they build
     /// a throwaway solver per query and don't report).
     pub solver: Stats,
+    /// The shared-CNF engine's PODEM pre-pass counters, aggregated the
+    /// same way (zeros for the per-fault engines).
+    pub podem: PodemStats,
     /// The proof-checking ledger, present when the shared-CNF engine ran
     /// with [`kms_atpg::ParallelOptions::certify`]: one checked
     /// certificate per redundant verdict, aggregated across restarts.
@@ -127,6 +130,7 @@ pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemov
         gates_before,
         gates_after: net.simple_gate_count(),
         solver: Stats::default(),
+        podem: PodemStats::default(),
         certification: None,
         unknown,
     }
@@ -147,6 +151,7 @@ fn shared_redundancy_removal(
     let mut removed = Vec::new();
     let unknown;
     let mut solver = Stats::default();
+    let mut podem = PodemStats::default();
     let mut certification = opts.certify.then(CertificationReport::default);
     let mut tests: Vec<Vec<bool>> = kms_atpg::random_tests(net, 128, 0x4B4D_5332);
     loop {
@@ -154,6 +159,7 @@ fn shared_redundancy_removal(
         let scan = scan_for_redundancy(net, &faults, opts, &tests);
         tests.extend(scan.tests);
         solver.merge(&scan.solver);
+        podem.merge(&scan.podem);
         if let (Some(total), Some(mine)) = (certification.as_mut(), scan.certification) {
             total.merge(&mine);
         }
@@ -178,6 +184,7 @@ fn shared_redundancy_removal(
         gates_before,
         gates_after: net.simple_gate_count(),
         solver,
+        podem,
         certification,
         unknown,
     }

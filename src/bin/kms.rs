@@ -270,14 +270,19 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
             "phases: engine {:.3?}, path_enum {:.3?}, oracle {:.3?}, transform {:.3?}, atpg {:.3?}",
             t.engine, t.path_enum, t.oracle, t.transform, t.atpg
         );
-        for (phase, s) in [
-            ("oracle", &report.oracle_solver),
-            ("atpg", &report.atpg_solver),
+        let p = &report.atpg_podem;
+        let podem = format!(
+            ", podem_calls {}, podem_redundant {}, podem_aborted {}",
+            p.calls, p.redundant, p.aborted
+        );
+        for (phase, s, extra) in [
+            ("oracle", &report.oracle_solver, ""),
+            ("atpg", &report.atpg_solver, podem.as_str()),
         ] {
             eprintln!(
                 "solver[{phase}]: conflicts {}, decisions {}, propagations {}, \
                  restarts {}, learned {}, deleted {}, minimized lits {}, \
-                 mean lbd {:.2}, arena gc {}, blocker hits {}",
+                 mean lbd {:.2}, arena gc {}, blocker hits {}{extra}",
                 s.conflicts,
                 s.decisions,
                 s.propagations,

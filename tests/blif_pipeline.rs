@@ -1,10 +1,12 @@
 //! End-to-end interchange pipeline: PLA suite → networks → BLIF text →
 //! re-parse → KMS → BLIF again, checking equivalence at every hop.
 
+use kms::atpg::{Engine, ParallelOptions};
 use kms::blif::{parse_blif, write_blif, PlaFile};
 use kms::core::{kms_on_copy, KmsOptions};
 use kms::gen::mcnc;
 use kms::netlist::{transform, DelayModel};
+use kms::opt::flow::{prepare_benchmark, FlowOptions};
 use kms::sat::check_equivalence;
 use kms::timing::InputArrivals;
 
@@ -47,6 +49,42 @@ fn kms_output_survives_blif_interchange() {
     fixed.exhaustive_equiv(&back).unwrap();
     // And the re-parsed circuit is still fully testable.
     assert!(kms::atpg::analyze(&back, kms::atpg::Engine::Sat).fully_testable());
+}
+
+/// The `kms` CLI path on read networks (Table I preparation, then BLIF
+/// text) → parse → decompose →
+/// unit delays → KMS → BLIF. The reader keeps source names such as `n13`,
+/// and decomposition adds unnamed gates, so the writer's generated names
+/// must avoid the kept ones or the output is rejected as multiply driven.
+#[test]
+fn kms_on_read_networks_writes_parseable_equivalent_blif() {
+    for (name, pla) in [
+        ("z4ml", mcnc::z4ml()),
+        ("f51m", mcnc::f51m_like()),
+        ("5xp1", mcnc::x5xp1_like()),
+    ] {
+        let (prepared, _) = prepare_benchmark(
+            &pla,
+            name,
+            |_| InputArrivals::zero(),
+            FlowOptions::default(),
+        );
+        let text = write_blif(&prepared);
+        let mut read = parse_blif(&text).unwrap().network;
+        transform::decompose_to_simple(&mut read);
+        read.apply_delay_model(DelayModel::Unit);
+        let options = KmsOptions {
+            engine: Engine::SharedSat(ParallelOptions::default()),
+            ..KmsOptions::default()
+        };
+        let (fixed, _) = kms_on_copy(&read, &InputArrivals::zero(), options).unwrap();
+        let written = write_blif(&fixed);
+        let back = parse_blif(&written)
+            .unwrap_or_else(|e| panic!("{name}: written output does not parse: {e}"))
+            .network;
+        fixed.exhaustive_equiv(&back).unwrap();
+        read.exhaustive_equiv(&back).unwrap();
+    }
 }
 
 #[test]
