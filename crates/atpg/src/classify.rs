@@ -70,8 +70,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
-use kms_dataflow::{DataflowAnalysis, DataflowOptions, LearnedImp};
 use kms_netlist::{ConnRef, GateId, GateKind, Network, Topology};
 use kms_proof::{core_conclusion, Certificate, CertificationReport};
 use kms_sat::{lock_unpoisoned, Budget, Lit, SatResult, Solver, Stats};
@@ -203,58 +201,16 @@ pub struct ParallelOptions {
     pub drop_patterns: usize,
     /// Seed for the random pre-screen patterns.
     pub seed: u64,
-    /// Run the `kms-analysis` static pass first: faults it proves
-    /// untestable are reported redundant without any PODEM/SAT query, and
-    /// statically merged nodes share one good-circuit literal, shrinking
-    /// the CNF. Both substitutions are semantic (proved over all inputs),
-    /// so the report stays bit-identical to a run without the prescreen.
-    ///
-    /// Off by default for classification: with the budgeted-PODEM
-    /// pre-pass in front of the solver, the analysis build costs more
-    /// than the handful of SAT conflicts it saves on every Table I row
-    /// with ≥ 400 gates (EXPERIMENTS E14 — rd73 classifies in 0.03 s
-    /// bare vs 0.20 s with the implication tier). The pass still earns
-    /// its keep where proofs are the product (`kms-sweep`, `kms-lint`)
-    /// or on the SAT-hard carry-skip adders; opt in there.
-    pub static_prescreen: bool,
-    /// Include the counterexample-refined SAT sweep in the prescreen's
-    /// static analysis. Off by default: on the MCNC/CSA suite the sweep's
-    /// solver time exceeds what it saves downstream (BENCH_sweep showed a
-    /// net slowdown on 6 of 9 circuits, down to 0.30× on rd73), while the
-    /// implication-only tier keeps nearly all of the proof yield. Verdict
-    /// substitutions remain semantic either way, so the report is
-    /// bit-identical at any tier.
-    pub prescreen_sweep: bool,
-    /// Run the `kms-dataflow` pass on top of the static prescreen: a
-    /// second, stronger tier between the implication prescreen and the
-    /// SAT queries. Ternary/cofactor constants, CODC-unobservable cuts,
-    /// and recursive-learning refutations prove additional survivors
-    /// redundant without a solver call, and the learned indirect binary
-    /// implications are seeded into each worker's shared CNF as axiom
-    /// clauses. Every dataflow verdict is a proved-over-all-inputs fact
-    /// (each carries a replayable witness, checked by
-    /// `kms-core::cross_check_static_analysis`), and the axioms are
-    /// globally valid implications, so the report stays bit-identical to
-    /// a SAT-only run.
-    ///
-    /// Off by default: the pass is a proof engine, not an accelerator —
-    /// its build time exceeds the whole bare classification on every
-    /// measured row (EXPERIMENTS E14 — rd73 5.4 s with vs 0.03 s
-    /// without). No effect unless [`ParallelOptions::static_prescreen`]
-    /// is on; disabled under [`ParallelOptions::certify`] like the rest
-    /// of the prescreen.
-    pub prescreen_dataflow: bool,
     /// Emit and independently check a RUP/DRAT certificate for every
     /// `Redundant` verdict. All redundancy claims — including PODEM's
-    /// decision-tree exhaustions, the static prescreen's implication
-    /// proofs, and the structural unreachable-output shortcut — are
-    /// re-derived as incremental UNSAT queries on the shared CNF so each
-    /// comes with an assumption core, and the static prescreen's
-    /// literal-aliasing is disabled so the certified formula is the plain
-    /// Tseitin encoding of the circuit. Cross-worker lemma sharing is
-    /// also disabled (an imported clause has no derivation in the
-    /// importer's proof stream). Verdicts are semantic, so the
-    /// [`TestabilityReport`] stays bit-identical; only the cost changes.
+    /// decision-tree exhaustions and the structural unreachable-output
+    /// shortcut — are re-derived as incremental UNSAT queries on the
+    /// shared CNF so each comes with an assumption core; the formula is
+    /// the same plain Tseitin encoding as in an uncertified run.
+    /// Cross-worker lemma sharing is also disabled (an imported clause
+    /// has no derivation in the importer's proof stream). Verdicts are
+    /// semantic, so the [`TestabilityReport`] stays bit-identical; only
+    /// the cost changes.
     pub certify: bool,
     /// Per-fault solver budget. `None` (the default) runs unbudgeted and
     /// every fault is decided. With a budget, an exhausted query yields
@@ -270,9 +226,6 @@ impl Default for ParallelOptions {
             jobs: 1,
             drop_patterns: 256,
             seed: 0x4B4D_5331,
-            static_prescreen: false,
-            prescreen_sweep: false,
-            prescreen_dataflow: false,
             certify: false,
             fault_budget: None,
         }
@@ -306,7 +259,8 @@ pub struct RedundancyScan {
     /// Aggregated solver counters across every worker of the scan.
     pub solver: Stats,
     /// Faults that reached a per-fault decision procedure (PODEM or SAT)
-    /// across every worker — what the prescreens and drops did not settle.
+    /// across every worker — what the random patterns and drops did not
+    /// settle.
     pub engine_calls: u64,
     /// What the PODEM pre-pass decided of those calls.
     pub podem: PodemStats,
@@ -333,9 +287,8 @@ pub struct ClassifyReport {
     /// Solver counters summed over every worker's incremental solver.
     pub solver: Stats,
     /// Faults that reached a per-fault decision procedure (PODEM or SAT):
-    /// total faults minus those settled by random-vector simulation, the
-    /// drop cascade, or a static prescreen. The direct measure of
-    /// prescreen coverage — [`Stats::sat_calls`] alone undercounts it
+    /// total faults minus those settled by random-vector simulation or
+    /// the drop cascade. [`Stats::sat_calls`] alone undercounts the work
     /// because PODEM settles most faults without touching the solver.
     pub engine_calls: u64,
     /// What the PODEM pre-pass decided of those calls.
@@ -389,33 +342,6 @@ impl ClassifyReport {
         }
         out.push('}');
         out
-    }
-}
-
-/// Indirect binary implications learned by the dataflow prescreen,
-/// indexed by gate slot for lazy seeding: once both endpoints of an
-/// axiom acquire good-circuit literals, the worker adds the binary
-/// clause `¬lit(a) ∨ lit(b)` to its solver. The implications are proved
-/// over all inputs, so the added clauses are entailed by the circuit
-/// encoding and can only prune search, never change a verdict.
-pub(crate) struct Axioms {
-    /// `(antecedent, consequent)` literal pairs, as `(gate, value)`.
-    list: Vec<((GateId, bool), (GateId, bool))>,
-    /// Axiom indices touching each gate slot.
-    by_gate: Vec<Vec<u32>>,
-}
-
-impl Axioms {
-    fn build(net: &Network, imps: &[LearnedImp]) -> Axioms {
-        let list: Vec<_> = imps.iter().map(|i| (i.a, i.b)).collect();
-        let mut by_gate = vec![Vec::new(); net.num_gate_slots()];
-        for (i, &((a, _), (b, _))) in list.iter().enumerate() {
-            by_gate[a.index()].push(i as u32);
-            if b != a {
-                by_gate[b.index()].push(i as u32);
-            }
-        }
-        Axioms { list, by_gate }
     }
 }
 
@@ -494,16 +420,6 @@ impl LemmaPool {
     }
 }
 
-/// How a gate's good-circuit literal resolves under the static analysis.
-#[derive(Clone, Copy, Debug)]
-enum StaticAlias {
-    /// The node is proved constant; alias the shared pinned literal.
-    Constant(bool),
-    /// The node is proved equal (`true`) or opposite (`false`) to its
-    /// representative; alias the representative's literal.
-    Rep(GateId, bool),
-}
-
 /// Sentinel in [`SharedCnf::var_slot`] for solver variables that do not
 /// represent a gate's good-circuit value (activation/stuck/faulty-cone/
 /// difference variables) — lemmas mentioning them are never shared.
@@ -522,15 +438,6 @@ pub(crate) struct SharedCnf<'n> {
     /// Lazily-encoded good-circuit literal per gate slot; monotone across
     /// faults, so overlapping cones share clauses and learnt facts.
     good: Vec<Option<Lit>>,
-    /// Statically proved merges/constants: merged nodes alias their
-    /// representative's good literal instead of re-encoding their cone.
-    analysis: Option<&'n StaticAnalysis<'n>>,
-    /// Learned indirect implications seeded as clauses once both
-    /// endpoints are encoded; `axiom_done` marks the seeded ones.
-    axioms: Option<&'n Axioms>,
-    axiom_done: Vec<bool>,
-    /// A literal pinned true, lazily created for proved-constant nodes.
-    const_true: Option<Lit>,
     /// Reverse map: solver variable index → the gate slot whose plain
     /// Tseitin encoding owns it, or [`NO_SLOT`]. The basis of lemma
     /// translation; kept in lockstep with the solver's allocator.
@@ -545,7 +452,7 @@ pub(crate) struct SharedCnf<'n> {
     /// shared proof stream, and only counters/digests are retained.
     certification: Option<CertificationReport>,
     /// Faults this context actually ran a decision procedure on (PODEM
-    /// and/or SAT) — the faults no prescreen or drop settled.
+    /// and/or SAT) — the faults no random pattern or drop settled.
     engine_calls: u64,
     /// The PODEM pre-pass workspace, reused across faults (the network is
     /// fixed for the context's lifetime), and what it decided.
@@ -557,27 +464,9 @@ pub(crate) struct SharedCnf<'n> {
 }
 
 impl<'n> SharedCnf<'n> {
-    pub(crate) fn new(net: &'n Network, topo: &'n Topology) -> Self {
-        SharedCnf::with_analysis(net, topo, None, None, false)
-    }
-
-    /// A context that aliases statically merged nodes to their
-    /// representative's literal and pins proved constants. The merges are
-    /// SAT-proved over all inputs, so the projection of every query onto
-    /// the primary inputs — and with it the UNSAT verdicts and the
-    /// lex-min canonical vectors — is unchanged; only the clause count
-    /// shrinks.
-    pub(crate) fn with_analysis(
-        net: &'n Network,
-        topo: &'n Topology,
-        analysis: Option<&'n StaticAnalysis<'n>>,
-        axioms: Option<&'n Axioms>,
-        certify: bool,
-    ) -> Self {
-        assert!(
-            !(certify && (analysis.is_some() || axioms.is_some())),
-            "certified runs encode the plain circuit (no analysis aliasing, no axioms)"
-        );
+    /// A fresh context; with `certify` its solver logs a proof stream
+    /// and every redundancy verdict is certified against it.
+    pub(crate) fn new(net: &'n Network, topo: &'n Topology, certify: bool) -> Self {
         let n = net.num_gate_slots();
         let mut solver = Solver::new();
         if certify {
@@ -588,10 +477,6 @@ impl<'n> SharedCnf<'n> {
             topo,
             solver,
             good: vec![None; n],
-            analysis,
-            axiom_done: vec![false; axioms.map_or(0, |a| a.list.len())],
-            axioms,
-            const_true: None,
             var_slot: Vec::new(),
             in_tfo: vec![false; n],
             faulty_var: vec![None; n],
@@ -673,58 +558,6 @@ impl<'n> SharedCnf<'n> {
         }
     }
 
-    /// A literal that is true in every model (unit-pinned on first use);
-    /// proved-constant nodes alias it or its negation.
-    fn const_true_lit(&mut self) -> Lit {
-        if let Some(l) = self.const_true {
-            return l;
-        }
-        let l = self.fresh_var(None);
-        self.solver.add_clause(&[l]);
-        self.const_true = Some(l);
-        l
-    }
-
-    /// The static resolution of `g`, if the analysis proved it constant
-    /// or merged it into a representative (representatives are fully
-    /// resolved: never themselves merged or constant).
-    fn static_alias(&self, g: GateId) -> Option<StaticAlias> {
-        let an = self.analysis?;
-        if let Some(c) = an.node_constant(g) {
-            return Some(StaticAlias::Constant(c));
-        }
-        if let Some((r, same)) = an.node_rep(g) {
-            return Some(StaticAlias::Rep(r, same));
-        }
-        None
-    }
-
-    /// Seeds every not-yet-added axiom touching one of `gates` whose
-    /// endpoints are both encoded. Called whenever good literals are
-    /// assigned, so an axiom lands in the solver exactly when (and only
-    /// when) the clause is expressible.
-    fn seed_axioms(&mut self, gates: &[GateId]) {
-        let Some(ax) = self.axioms else {
-            return;
-        };
-        for &g in gates {
-            for &ai in &ax.by_gate[g.index()] {
-                let ai = ai as usize;
-                if self.axiom_done[ai] {
-                    continue;
-                }
-                let ((a, va), (b, vb)) = ax.list[ai];
-                let (Some(la), Some(lb)) = (self.good[a.index()], self.good[b.index()]) else {
-                    continue;
-                };
-                self.axiom_done[ai] = true;
-                let la = if va { la } else { !la };
-                let lb = if vb { lb } else { !lb };
-                self.solver.add_implication(la, lb);
-            }
-        }
-    }
-
     /// The good-circuit literal for `g`, encoding its transitive fanin on
     /// first use. Gates already encoded by an earlier fault's cone are
     /// reused, so across a whole classification run each gate is encoded
@@ -734,29 +567,9 @@ impl<'n> SharedCnf<'n> {
         if let Some(l) = self.good[g.index()] {
             return l;
         }
-        match self.static_alias(g) {
-            Some(StaticAlias::Constant(c)) => {
-                let t = self.const_true_lit();
-                let l = if c { t } else { !t };
-                self.good[g.index()] = Some(l);
-                self.seed_axioms(&[g]);
-                return l;
-            }
-            Some(StaticAlias::Rep(r, same)) => {
-                let rl = self.good_lit(r);
-                let l = if same { rl } else { !rl };
-                self.good[g.index()] = Some(l);
-                self.seed_axioms(&[g]);
-                return l;
-            }
-            None => {}
-        }
         // Collect the un-encoded transitive fanin, then encode it in
         // topological order so every pin literal exists before its gate.
-        // Statically aliased fanins resolve to their representative (the
-        // representative itself joins the plain-encode set).
         let mut need: Vec<GateId> = Vec::new();
-        let mut aliased: Vec<GateId> = Vec::new();
         let mut stack = vec![g];
         while let Some(id) = stack.pop() {
             let i = id.index();
@@ -764,27 +577,9 @@ impl<'n> SharedCnf<'n> {
                 continue;
             }
             self.visit[i] = true;
-            match self.static_alias(id) {
-                Some(StaticAlias::Constant(_)) => aliased.push(id),
-                Some(StaticAlias::Rep(r, _)) => {
-                    aliased.push(id);
-                    stack.push(r);
-                }
-                None => {
-                    need.push(id);
-                    for p in &self.net.gate(id).pins {
-                        stack.push(p.src);
-                    }
-                }
-            }
-        }
-        // Constants first: they need no fanin. Representative-aliased
-        // nodes resolve after the plain set is encoded.
-        for &id in &aliased {
-            if let Some(StaticAlias::Constant(c)) = self.static_alias(id) {
-                self.visit[id.index()] = false;
-                let t = self.const_true_lit();
-                self.good[id.index()] = Some(if c { t } else { !t });
+            need.push(id);
+            for p in &self.net.gate(id).pins {
+                stack.push(p.src);
             }
         }
         need.sort_unstable_by_key(|&id| self.topo.pos(id));
@@ -801,40 +596,12 @@ impl<'n> SharedCnf<'n> {
                     let pins: Vec<Lit> = gate
                         .pins
                         .iter()
-                        .map(|p| {
-                            if let Some(l) = self.good[p.src.index()] {
-                                l
-                            } else {
-                                // The pin is rep-aliased and its
-                                // representative is already encoded.
-                                let (r, same) = match self.static_alias(p.src) {
-                                    Some(StaticAlias::Rep(r, same)) => (r, same),
-                                    _ => unreachable!("unencoded fanin must be rep-aliased"),
-                                };
-                                let rl = self.good[r.index()].expect("rep encoded first");
-                                if same {
-                                    rl
-                                } else {
-                                    !rl
-                                }
-                            }
-                        })
+                        .map(|p| self.good[p.src.index()].expect("fanin encoded first"))
                         .collect();
                     encode_gate_with_guard(&mut self.solver, gate.kind, out, &pins, None);
                 }
             }
             self.good[id.index()] = Some(out);
-        }
-        for &id in &aliased {
-            if let Some(StaticAlias::Rep(r, same)) = self.static_alias(id) {
-                self.visit[id.index()] = false;
-                let rl = self.good[r.index()].expect("rep encoded first");
-                self.good[id.index()] = Some(if same { rl } else { !rl });
-            }
-        }
-        if self.axioms.is_some() && !(need.is_empty() && aliased.is_empty()) {
-            need.extend_from_slice(&aliased);
-            self.seed_axioms(&need);
         }
         self.good[g.index()].expect("just encoded")
     }
@@ -1057,7 +824,7 @@ impl<'n> SharedCnf<'n> {
 /// [`crate::Engine::SharedSat`] path of [`crate::is_testable`]).
 pub(crate) fn classify_one(net: &Network, fault: Fault) -> Testability {
     let topo = Topology::build(net);
-    SharedCnf::new(net, &topo).classify(fault)
+    SharedCnf::new(net, &topo, false).classify(fault)
 }
 
 /// Classifies every fault with the shared-CNF engine: random-pattern
@@ -1149,13 +916,13 @@ fn run(
     net: &Network,
     faults: &[Fault],
     opts: ParallelOptions,
-    prescreen: &[Vec<bool>],
+    cached_tests: &[Vec<bool>],
     with_random: bool,
     stop_at_redundant: bool,
 ) -> Outcome {
     let jobs = opts.effective_jobs();
     let topo = Topology::build(net);
-    let mut tests: Vec<Vec<bool>> = prescreen.to_vec();
+    let mut tests: Vec<Vec<bool>> = cached_tests.to_vec();
     if with_random && opts.drop_patterns > 0 {
         tests.extend(random_tests(net, opts.drop_patterns, opts.seed));
     }
@@ -1183,19 +950,12 @@ fn run(
     if survivors.is_empty() {
         return outcome;
     }
-    // Static prescreen: one analysis pass proves a slice of the survivors
-    // untestable with no PODEM/SAT query at all, and its merge classes let
-    // every worker alias duplicate good-circuit cones. Both substitutions
-    // are semantic, so the verdicts — and hence the drop cascade and the
-    // final report — match a run without the prescreen bit for bit.
-    let prescreen = Prescreen::build(net, faults, &survivors, &opts);
     if jobs.min(survivors.len()) <= 1 {
         run_sequential(
             net,
             &topo,
             faults,
             &survivors,
-            &prescreen,
             opts.certify,
             opts.fault_budget,
             stop_at_redundant,
@@ -1207,7 +967,6 @@ fn run(
             &topo,
             faults,
             &survivors,
-            &prescreen,
             jobs.min(survivors.len()),
             opts.certify,
             opts.fault_budget,
@@ -1216,79 +975,6 @@ fn run(
         );
     }
     outcome
-}
-
-/// The static-prescreen state shared by the sequential and parallel runs:
-/// the analysis pass (workers alias merged/constant nodes through it when
-/// encoding good-circuit cones) and the per-fault statically-proved flags.
-struct Prescreen<'n> {
-    analysis: Option<StaticAnalysis<'n>>,
-    redundant: Vec<bool>,
-    /// Indirect implications from the dataflow tier, seeded into every
-    /// worker's solver as the survivors' cones are encoded.
-    axioms: Option<Axioms>,
-}
-
-impl<'n> Prescreen<'n> {
-    fn build(
-        net: &'n Network,
-        faults: &[Fault],
-        survivors: &[usize],
-        opts: &ParallelOptions,
-    ) -> Prescreen<'n> {
-        // The first tier is implication-only: structural hashing plus
-        // static learning, no SAT sweep (see `ParallelOptions::
-        // prescreen_sweep` for the measurement behind the default).
-        // Certified runs skip the pass entirely: its verdicts have no
-        // per-fault proof object and its merge-aliasing would make every
-        // certificate conditional on the analysis being right, so each
-        // fault instead gets a full SAT query over the plain encoding.
-        let analysis = (opts.static_prescreen && !opts.certify).then(|| {
-            let aopts = AnalysisOptions {
-                sat_sweep: opts.prescreen_sweep,
-                ..AnalysisOptions::default()
-            };
-            StaticAnalysis::build(net, &aopts)
-        });
-        let mut redundant = vec![false; faults.len()];
-        let mut axioms = None;
-        if let Some(an) = &analysis {
-            for &fi in survivors {
-                let f = faults[fi];
-                let site = match f.site {
-                    FaultSite::GateOutput(g) => FaultRef::Output(g),
-                    FaultSite::Conn(c) => FaultRef::Conn(c),
-                };
-                redundant[fi] = an.prove_untestable(site, f.stuck).is_some();
-            }
-            // Second tier: the dataflow pass (ternary/cofactor constants,
-            // CODCs, recursive learning) decides implication-unproved
-            // survivors and contributes its learned indirect implications
-            // as worker axioms. All its verdicts carry replayable
-            // witnesses (see `kms-dataflow`), so the substitution stays
-            // semantic and the report bit-identical.
-            if opts.prescreen_dataflow {
-                let df = DataflowAnalysis::build(net, an, &DataflowOptions::default());
-                for &fi in survivors {
-                    if redundant[fi] {
-                        continue;
-                    }
-                    let f = faults[fi];
-                    let site = match f.site {
-                        FaultSite::GateOutput(g) => FaultRef::Output(g),
-                        FaultSite::Conn(c) => FaultRef::Conn(c),
-                    };
-                    redundant[fi] = df.prove_untestable(an, site, f.stuck).is_some();
-                }
-                axioms = Some(Axioms::build(net, df.learned_implications()));
-            }
-        }
-        Prescreen {
-            analysis,
-            redundant,
-            axioms,
-        }
-    }
 }
 
 /// The in-order commit state shared by the sequential and parallel runs:
@@ -1458,20 +1144,13 @@ fn run_sequential(
     topo: &Topology,
     faults: &[Fault],
     survivors: &[usize],
-    prescreen: &Prescreen<'_>,
     certify: bool,
     budget: Option<FaultBudget>,
     stop_at_redundant: bool,
     outcome: &mut Outcome,
 ) {
     let rebuild = || {
-        let mut ctx = SharedCnf::with_analysis(
-            net,
-            topo,
-            prescreen.analysis.as_ref(),
-            prescreen.axioms.as_ref(),
-            certify,
-        );
+        let mut ctx = SharedCnf::new(net, topo, certify);
         ctx.budget = budget;
         ctx
     };
@@ -1490,11 +1169,7 @@ fn run_sequential(
     };
     for (k, &fi) in survivors.iter().enumerate() {
         let done = committer.resolve(k, outcome, || {
-            if prescreen.redundant[fi] {
-                Testability::Redundant
-            } else {
-                classify_isolated(&mut ctx, faults[fi], rebuild, &mut lost)
-            }
+            classify_isolated(&mut ctx, faults[fi], rebuild, &mut lost)
         });
         if done {
             break;
@@ -1536,7 +1211,6 @@ fn run_parallel(
     topo: &Topology,
     faults: &[Fault],
     survivors: &[usize],
-    prescreen: &Prescreen<'_>,
     jobs: usize,
     certify: bool,
     budget: Option<FaultBudget>,
@@ -1597,13 +1271,7 @@ fn run_parallel(
             let (dropped, agg, pool, log) = (&dropped, &agg, &pool, &log);
             s.spawn(move || {
                 let rebuild = || {
-                    let mut ctx = SharedCnf::with_analysis(
-                        net,
-                        topo,
-                        prescreen.analysis.as_ref(),
-                        prescreen.axioms.as_ref(),
-                        certify,
-                    );
+                    let mut ctx = SharedCnf::new(net, topo, certify);
                     if pool.is_some() {
                         ctx.enable_sharing();
                     }
@@ -1665,8 +1333,6 @@ fn run_parallel(
                             let fi = survivors[k];
                             let msg = if dropped[k].load(Ordering::Acquire) {
                                 WorkerMsg::Skipped
-                            } else if prescreen.redundant[fi] {
-                                WorkerMsg::Verdict(Testability::Redundant)
                             } else if !sim.is_empty() && sim.first_detecting(faults[fi]).is_some() {
                                 // A committed vector already detects this
                                 // fault, so the in-order drop check is
@@ -1798,7 +1464,7 @@ mod tests {
     /// The worker pool commits verdicts in fault order regardless of
     /// which thread solves what, so a multi-worker run (with chunked
     /// claiming and lemma sharing active) must reproduce the in-line run
-    /// bit for bit. Prescreens and the random drop are disabled so every
+    /// bit for bit. The random drop is disabled so every
     /// fault actually travels through the pool — this is the
     /// ThreadSanitizer target for the classification pool, covering the
     /// chunk counter, the drop flags, the commit channel, and the
@@ -1834,12 +1500,12 @@ mod tests {
         let topo = Topology::build(&net);
         let faults = collapsed_faults(&net);
 
-        let mut exporter = SharedCnf::new(&net, &topo);
+        let mut exporter = SharedCnf::new(&net, &topo, false);
         exporter.enable_sharing();
         let baseline: Vec<Testability> = faults.iter().map(|&f| exporter.classify_sat(f)).collect();
         let pool = exporter.export_shared();
 
-        let mut importer = SharedCnf::new(&net, &topo);
+        let mut importer = SharedCnf::new(&net, &topo, false);
         // Encode every output cone so all slots are translatable, then
         // import the full pool up front — the worst case for bias.
         for o in net.outputs() {

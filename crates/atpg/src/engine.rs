@@ -1,42 +1,31 @@
 //! Testability verdicts and whole-circuit redundancy identification.
 //!
 //! Two complete engines answer "is this stuck-at fault testable?":
-//! [`Engine::Podem`] (structural search) and [`Engine::Sat`] (good/faulty
-//! miter, cf. Schulz–Auth [22] whose ATPG the paper's implementation
-//! used). They are cross-checked against each other in the test suites.
+//! [`Engine::Sat`] (a fresh good/faulty miter per query, cf. Schulz–Auth
+//! [22] whose ATPG the paper's implementation used) and
+//! [`Engine::SharedSat`] (budgeted PODEM, then incremental SAT on one
+//! shared CNF). The standalone [`crate::podem`] search is the reference
+//! oracle both are cross-checked against in the test suites.
 
 use kms_netlist::Network;
 
 use crate::classify::ParallelOptions;
 use crate::fault::{all_faults, collapsed_faults, Fault, FaultSite};
-use crate::podem::{podem, PodemResult};
 
 /// Which decision procedure to use for testability queries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// PODEM with the given backtrack limit (complete when the limit is
-    /// not hit; queries that hit the limit report
-    /// [`Testability::Unknown`]).
-    Podem {
-        /// Backtrack budget per fault.
-        backtrack_limit: u64,
-    },
     /// SAT miter between the good and faulty circuits — always complete.
     /// Builds a fresh solver and re-encodes the fault's cone per query.
     #[default]
     Sat,
-    /// PODEM first (cheap structural search with a small budget), SAT as
-    /// the complete fallback for aborted queries — the classic two-stage
-    /// deterministic ATPG flow.
-    Hybrid {
-        /// PODEM backtrack budget before falling back to SAT.
-        podem_backtracks: u64,
-    },
     /// The shared-CNF incremental engine ([`crate::classify_faults`]):
-    /// the good circuit is encoded once per network state, faults are
-    /// classified under per-fault activation literals, SAT-derived test
-    /// vectors immediately fault-drop the remaining faults, and surviving
-    /// queries fan out across `jobs` worker threads. Always complete, and
+    /// a budgeted PODEM pre-pass settles most faults, and the rest are
+    /// decided on one incremental SAT instance where the good circuit is
+    /// encoded once per network state, faults are classified under
+    /// per-fault activation literals, SAT-derived test vectors
+    /// immediately fault-drop the remaining faults, and surviving queries
+    /// fan out across `jobs` worker threads. Always complete, and
     /// deterministic for any `jobs` value.
     SharedSat(ParallelOptions),
 }
@@ -44,8 +33,6 @@ pub enum Engine {
 /// Why a fault's classification did not reach a verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnknownReason {
-    /// PODEM's backtrack budget ran out (no SAT fallback configured).
-    Podem,
     /// The per-fault SAT conflict budget ran out.
     Conflicts,
     /// The per-fault SAT propagation budget ran out.
@@ -66,7 +53,6 @@ impl UnknownReason {
     /// Short lowercase mnemonic for report surfaces.
     pub fn mnemonic(self) -> &'static str {
         match self {
-            UnknownReason::Podem => "podem",
             UnknownReason::Conflicts => "conflicts",
             UnknownReason::Propagations => "propagations",
             UnknownReason::Deadline => "deadline",
@@ -124,21 +110,7 @@ impl Testability {
 /// Decides testability of one fault.
 pub fn is_testable(net: &Network, fault: Fault, engine: Engine) -> Testability {
     match engine {
-        Engine::Podem { backtrack_limit } => match podem(net, fault, backtrack_limit) {
-            PodemResult::Test(cube) => {
-                Testability::Testable(cube.iter().map(|v| v.to_bool().unwrap_or(false)).collect())
-            }
-            PodemResult::Redundant => Testability::Redundant,
-            PodemResult::Aborted => Testability::Unknown(UnknownReason::Podem),
-        },
         Engine::Sat => sat_testable(net, fault),
-        Engine::Hybrid { podem_backtracks } => match podem(net, fault, podem_backtracks) {
-            PodemResult::Test(cube) => {
-                Testability::Testable(cube.iter().map(|v| v.to_bool().unwrap_or(false)).collect())
-            }
-            PodemResult::Redundant => Testability::Redundant,
-            PodemResult::Aborted => sat_testable(net, fault),
-        },
         Engine::SharedSat(_) => crate::classify::classify_one(net, fault),
     }
 }
@@ -385,8 +357,7 @@ impl TestabilityReport {
     /// Unknown-verdict counts grouped by reason, in a fixed reason
     /// order (stable across runs for report rendering).
     pub fn unknown_reasons(&self) -> Vec<(UnknownReason, usize)> {
-        const ORDER: [UnknownReason; 7] = [
-            UnknownReason::Podem,
+        const ORDER: [UnknownReason; 6] = [
             UnknownReason::Conflicts,
             UnknownReason::Propagations,
             UnknownReason::Deadline,
@@ -537,32 +508,23 @@ mod tests {
     #[test]
     fn engines_agree_on_redundant_circuit() {
         let net = redundant_net();
-        let podem_engine = Engine::Podem {
-            backtrack_limit: 100_000,
-        };
-        let rp = analyze(&net, podem_engine);
         let rs = analyze(&net, Engine::Sat);
-        assert_eq!(rp.faults, rs.faults);
-        for ((f, vp), vs) in rp.faults.iter().zip(&rp.verdicts).zip(&rs.verdicts) {
+        for (f, vs) in rs.faults.iter().zip(&rs.verdicts) {
+            let vp = crate::podem::podem(&net, *f, 100_000);
             assert_eq!(
-                vp.is_redundant(),
+                vp == crate::podem::PodemResult::Redundant,
                 vs.is_redundant(),
                 "engines disagree on {f}"
             );
         }
-        assert!(!rp.fully_testable());
-        assert!(!rp.redundant().is_empty());
+        assert!(!rs.fully_testable());
+        assert!(!rs.redundant().is_empty());
     }
 
     #[test]
     fn clean_circuit_fully_testable() {
         let net = clean_net();
-        for engine in [
-            Engine::Sat,
-            Engine::Podem {
-                backtrack_limit: 10_000,
-            },
-        ] {
+        for engine in [Engine::Sat, Engine::SharedSat(ParallelOptions::default())] {
             let r = analyze(&net, engine);
             assert!(r.fully_testable(), "{engine:?}");
             assert_eq!(r.unknown_count(), 0);
@@ -618,34 +580,6 @@ mod tests {
             assert_ne!(ta, tb, "seeds {a} and {b} collided");
             // Same seed must stay reproducible.
             assert_eq!(ta, random_tests(&net, 16, a));
-        }
-    }
-}
-
-#[cfg(test)]
-mod hybrid_tests {
-    use super::*;
-    use kms_netlist::{Delay, GateKind, Network};
-
-    #[test]
-    fn hybrid_agrees_with_sat_and_never_aborts() {
-        let mut net = Network::new("h");
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let c = net.add_input("c");
-        let t = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
-        let y = net.add_gate(GateKind::Or, &[a, t], Delay::UNIT);
-        let z = net.add_gate(GateKind::Xor, &[y, c], Delay::UNIT);
-        net.add_output("z", z);
-        // A zero-budget PODEM forces the SAT fallback on every query.
-        let hybrid = Engine::Hybrid {
-            podem_backtracks: 0,
-        };
-        for f in collapsed_faults(&net) {
-            let vh = is_testable(&net, f, hybrid);
-            let vs = is_testable(&net, f, Engine::Sat);
-            assert!(!vh.is_unknown(), "{f}");
-            assert_eq!(vh.is_redundant(), vs.is_redundant(), "{f}");
         }
     }
 }

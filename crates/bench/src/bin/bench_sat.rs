@@ -22,7 +22,11 @@
 //!
 //! Every row carries the solver counters, wall-clock, and
 //! propagations-per-second — the machine-comparable throughput figure
-//! used by the acceptance gate when raw wall-clock is too noisy.
+//! used by the acceptance gate when raw wall-clock is too noisy. ATPG
+//! rows also say which engine decided the faults: `engine_calls` (faults
+//! that reached PODEM or SAT; the rest fell to random-pattern simulation
+//! or the drop cascade) and the PODEM pre-pass counters `podem_calls`,
+//! `podem_redundant` and `podem_aborted` (only aborts reach the solver).
 
 use std::time::Instant;
 
@@ -144,6 +148,8 @@ struct Row {
     result: String,
     wall_s: f64,
     solver: Stats,
+    /// Engine-attribution JSON fragment (ATPG rows only).
+    engine: Option<String>,
 }
 
 impl Row {
@@ -206,11 +212,12 @@ fn dimacs_row(name: &str, cnf: &Cnf, expect: SatResult, reps: usize) -> Row {
         result: format!("{result:?}").to_lowercase(),
         wall_s,
         solver: stats,
+        engine: None,
     }
 }
 
-/// `kind = "atpg"` uses the production defaults (random pre-screen,
-/// no static tiers), where most faults never reach the solver.
+/// `kind = "atpg"` uses the production defaults (random pre-screen),
+/// where most faults never reach the solver.
 /// `kind = "atpg-raw"` strips the random pre-screen too, forcing every fault
 /// through the shared-CNF engine — the solver-dominated configuration
 /// whose propagations-per-second is the acceptance gate's fallback
@@ -220,7 +227,6 @@ fn atpg_row(name: &str, net: &Network, raw: bool, reps: usize) -> Row {
         ParallelOptions {
             jobs: 1,
             drop_patterns: 0,
-            static_prescreen: false,
             ..Default::default()
         }
     } else {
@@ -248,6 +254,11 @@ fn atpg_row(name: &str, net: &Network, raw: bool, reps: usize) -> Row {
         result: format!("redundant={redundant}"),
         wall_s,
         solver: report.solver,
+        engine: Some(format!(
+            "\"engine_calls\": {}, {}",
+            report.engine_calls,
+            report.podem.render_json_fields()
+        )),
     }
 }
 
@@ -345,12 +356,15 @@ fn main() {
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"instance\": \"{}\", \"kind\": \"{}\", {}, \"result\": \"{}\", \
+            "    {{\"instance\": \"{}\", \"kind\": \"{}\", {}, \"result\": \"{}\", {}\
              \"wall_s\": {:.6}, \"props_per_sec\": {:.0}, \"solver\": {}}}{}\n",
             json_escape(&r.name),
             r.kind,
             r.size,
             json_escape(&r.result),
+            r.engine
+                .as_ref()
+                .map_or(String::new(), |e| format!("{e}, ")),
             r.wall_s,
             r.props_per_sec(),
             r.solver.render_json(),

@@ -1,16 +1,14 @@
-//! Static-prescreen benchmark: how much of the redundancy identification
-//! work the static passes settle without any PODEM/SAT query, and what
-//! that does to end-to-end classification wall-clock. Emits
-//! `BENCH_sweep.json`.
+//! Static-proof benchmark: how much of the redundancy identification
+//! work the static passes settle without any PODEM/SAT query, what the
+//! passes cost, and what the classification oracle they are checked
+//! against costs. Emits `BENCH_sweep.json`.
 //!
-//! Four tiers per circuit: no prescreen (the oracle), the implication
-//! prescreen alone (`prescreen_dataflow: false`), the default implic +
-//! dataflow prescreen (ternary/cofactor constants, CODCs, recursive
-//! learning — `kms-dataflow`), and the full-sweep prescreen
-//! (`prescreen_sweep: true`). The per-tier `engine_calls` column counts
-//! the faults that still reached a per-fault decision procedure (PODEM
-//! or SAT) at each tier — the direct measure of prescreen coverage
-//! (EXPERIMENTS E13).
+//! Per circuit: the shared-CNF classifier at its defaults (the oracle,
+//! timed, with its `engine_calls` — faults that reached PODEM or SAT),
+//! the implication tier (`kms-analysis`, no SAT sweep) and the implic +
+//! dataflow tiers (`kms-dataflow`: ternary/cofactor constants, CODCs,
+//! recursive learning), each timed and scored by the redundant faults it
+//! proves (EXPERIMENTS E9/E13).
 //!
 //! Usage: `bench_sweep [--smoke] [--jobs N] [--out FILE]`
 //!
@@ -20,17 +18,14 @@
 //!
 //! Every row is also a correctness gate: the statically proved faults
 //! (both tiers) must be a subset of the SAT/PODEM oracle's redundant set
-//! (soundness), the implic+dataflow tier must prove at least the implic
-//! tier's faults on the carry-skip rows, and the classification reports
-//! at every tier must be bit-identical.
+//! (soundness), and on the carry-skip rows the implic+dataflow tier must
+//! prove every implic proof and strictly more.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
-use kms_atpg::{
-    classify_faults_report, collapsed_faults, ClassifyReport, Fault, FaultSite, ParallelOptions,
-};
+use kms_atpg::{classify_faults_report, collapsed_faults, Fault, FaultSite, ParallelOptions};
 use kms_bench::table1_csa;
 use kms_dataflow::{DataflowAnalysis, DataflowOptions};
 use kms_netlist::Network;
@@ -127,14 +122,8 @@ struct Row {
     dataflow_hit_rate: f64,
     analysis_s: f64,
     dataflow_s: f64,
-    with_s: f64,
-    with_dataflow_s: f64,
-    with_sweep_s: f64,
-    without_s: f64,
-    oracle_engine_calls: u64,
-    implic_engine_calls: u64,
-    dataflow_engine_calls: u64,
-    sweep_engine_calls: u64,
+    oracle_s: f64,
+    engine_calls: u64,
 }
 
 fn json_escape(s: &str) -> String {
@@ -160,34 +149,8 @@ fn main() {
         v
     };
 
-    // Tier engines: the bare oracle (the classification default since
-    // the E14 re-measurement), the implication prescreen alone, the
-    // implic + dataflow prescreen, and the full-sweep tier
-    // (sweep isolated from the dataflow tier so its column measures the
-    // SAT sweep itself, as in the original three-tier benchmark).
-    let without_prescreen = ParallelOptions {
+    let oracle_opts = ParallelOptions {
         jobs: cfg.jobs,
-        static_prescreen: false,
-        prescreen_dataflow: false,
-        ..Default::default()
-    };
-    let with_implic = ParallelOptions {
-        jobs: cfg.jobs,
-        static_prescreen: true,
-        prescreen_dataflow: false,
-        ..Default::default()
-    };
-    let with_dataflow = ParallelOptions {
-        jobs: cfg.jobs,
-        static_prescreen: true,
-        prescreen_dataflow: true,
-        ..Default::default()
-    };
-    let with_sweep = ParallelOptions {
-        jobs: cfg.jobs,
-        static_prescreen: true,
-        prescreen_sweep: true,
-        prescreen_dataflow: false,
         ..Default::default()
     };
 
@@ -200,8 +163,7 @@ fn main() {
         let fault_refs: Vec<(FaultRef, bool)> = faults.iter().map(|&f| fault_ref(f)).collect();
 
         // Static pass at the default tier (no SAT sweep): timed alone
-        // (the prescreen's fixed cost) and its report kept for the
-        // hit-rate and soundness checks.
+        // and its report kept for the hit-rate and soundness checks.
         let (analysis_s, report) = time_min(reps, || {
             let an = StaticAnalysis::build(
                 net,
@@ -212,25 +174,9 @@ fn main() {
             );
             an.report(&fault_refs)
         });
-        let classify = |popts: ParallelOptions| -> ClassifyReport {
-            classify_faults_report(net, faults.clone(), popts)
-        };
-        let (without_s, oracle) = time_min(reps, || classify(without_prescreen));
-        let (with_s, screened) = time_min(reps, || classify(with_implic));
-        let (with_dataflow_s, dataflow) = time_min(reps, || classify(with_dataflow));
-        let (with_sweep_s, swept) = time_min(reps, || classify(with_sweep));
-        assert_eq!(
-            oracle.testability, screened.testability,
-            "{name}: implic prescreen changed the testability report"
-        );
-        assert_eq!(
-            oracle.testability, dataflow.testability,
-            "{name}: dataflow prescreen changed the testability report"
-        );
-        assert_eq!(
-            oracle.testability, swept.testability,
-            "{name}: sweep-tier prescreen changed the testability report"
-        );
+        let (oracle_s, oracle) = time_min(reps, || {
+            classify_faults_report(net, faults.clone(), oracle_opts)
+        });
 
         let redundant: BTreeSet<(FaultRef, bool)> = oracle
             .testability
@@ -243,8 +189,8 @@ fn main() {
         // Dataflow-tier coverage, measured on the redundant set (a sound
         // pass can only ever prove those; attempting the testable faults
         // here would just re-measure the refutation budget). The column
-        // is the *union* of implic and dataflow proofs — exactly what
-        // the combined prescreen settles without a decision procedure.
+        // is the *union* of implic and dataflow proofs — everything the
+        // two static tiers settle without a decision procedure.
         let (dataflow_s, dataflow_proofs) = time_min(reps, || {
             let an = StaticAnalysis::build(
                 net,
@@ -311,8 +257,7 @@ fn main() {
         eprintln!(
             "{name:<10} {:>5} faults  {:>3} redundant  {:>3} implic ({:>5.1}%)  \
              {:>3} +dataflow ({:>5.1}%)  analysis {analysis_s:.4}s/{dataflow_s:.4}s  \
-             with {with_s:.4}s  df {with_dataflow_s:.4}s  sweep {with_sweep_s:.4}s  \
-             without {without_s:.4}s  engine calls {}/{}/{}/{}",
+             oracle {oracle_s:.4}s  engine calls {}",
             faults.len(),
             redundant.len(),
             proved.len(),
@@ -320,9 +265,6 @@ fn main() {
             dataflow_proofs.len(),
             100.0 * dataflow_hit_rate,
             oracle.engine_calls,
-            screened.engine_calls,
-            dataflow.engine_calls,
-            swept.engine_calls,
         );
         rows.push(Row {
             name: name.clone(),
@@ -335,14 +277,8 @@ fn main() {
             dataflow_hit_rate,
             analysis_s,
             dataflow_s,
-            with_s,
-            with_dataflow_s,
-            with_sweep_s,
-            without_s,
-            oracle_engine_calls: oracle.engine_calls,
-            implic_engine_calls: screened.engine_calls,
-            dataflow_engine_calls: dataflow.engine_calls,
-            sweep_engine_calls: swept.engine_calls,
+            oracle_s,
+            engine_calls: oracle.engine_calls,
         });
     }
 
@@ -384,10 +320,7 @@ fn main() {
             "    {{\"circuit\": \"{}\", \"gates\": {}, \"faults\": {}, \"redundant\": {}, \
              \"static_proved\": {}, \"dataflow_proved\": {}, \"hit_rate\": {:.4}, \
              \"dataflow_hit_rate\": {:.4}, \"analysis_s\": {:.6}, \"dataflow_analysis_s\": {:.6}, \
-             \"with_prescreen_s\": {:.6}, \"with_dataflow_s\": {:.6}, \"with_sweep_s\": {:.6}, \
-             \"without_prescreen_s\": {:.6}, \"speedup\": {:.3}, \"dataflow_speedup\": {:.3}, \
-             \"sweep_speedup\": {:.3}, \"engine_calls\": {{\"oracle\": {}, \"implic\": {}, \
-             \"dataflow\": {}, \"sweep\": {}}}}}{}\n",
+             \"oracle_s\": {:.6}, \"engine_calls\": {}}}{}\n",
             json_escape(&r.name),
             r.gates,
             r.faults,
@@ -398,17 +331,8 @@ fn main() {
             r.dataflow_hit_rate,
             r.analysis_s,
             r.dataflow_s,
-            r.with_s,
-            r.with_dataflow_s,
-            r.with_sweep_s,
-            r.without_s,
-            r.without_s / r.with_s,
-            r.without_s / r.with_dataflow_s,
-            r.without_s / r.with_sweep_s,
-            r.oracle_engine_calls,
-            r.implic_engine_calls,
-            r.dataflow_engine_calls,
-            r.sweep_engine_calls,
+            r.oracle_s,
+            r.engine_calls,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

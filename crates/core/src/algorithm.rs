@@ -1288,7 +1288,10 @@ mod tests {
         transform::decompose_to_simple(&mut net);
         net.apply_delay_model(kms_netlist::DelayModel::Unit);
         let arr = InputArrivals::zero();
-        let options = KmsOptions::default();
+        let options = KmsOptions {
+            engine: Engine::SharedSat(ParallelOptions::default()),
+            ..KmsOptions::default()
+        };
         let path = ckpt_path("fingerprint");
         let mut first = net.clone();
         kms_with_control(
@@ -1329,8 +1332,9 @@ mod tests {
                 ..options
             }
         ));
-        // Right run: accepted (and `jobs`/`incremental` do not
-        // participate — both are proven bit-identity switches).
+        // Right run: accepted (and `jobs`/`incremental` and the shared
+        // engine's job count do not participate — all are proven
+        // bit-identity switches).
         let ck = Checkpoint::load(&path).unwrap();
         assert!(ck.matches(
             &net,
@@ -1338,6 +1342,17 @@ mod tests {
             &KmsOptions {
                 jobs: 4,
                 incremental: false,
+                ..options
+            }
+        ));
+        assert!(ck.matches(
+            &net,
+            &arr,
+            &KmsOptions {
+                engine: Engine::SharedSat(ParallelOptions {
+                    jobs: 4,
+                    ..ParallelOptions::default()
+                }),
                 ..options
             }
         ));

@@ -29,6 +29,7 @@ use std::path::Path as FsPath;
 use std::time::Duration;
 
 use kms_analysis::SignatureInterner;
+use kms_atpg::{Engine, ParallelOptions};
 use kms_netlist::{escape_token, unescape_token, Network};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
@@ -93,10 +94,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The run-identity fingerprint: circuit, arrivals, and the options that
-/// change observable behavior. `incremental` and `jobs` are deliberately
-/// excluded — both are proven bit-identity switches, so a run may resume
-/// with a different job count or engine mode.
+/// change observable behavior. `incremental` and the job counts (the
+/// loop's `jobs` and the shared engine's `ParallelOptions::jobs`) are
+/// deliberately excluded — all are proven bit-identity switches, so a run
+/// may resume with a different job count or engine mode.
 pub(crate) fn fingerprint(net: &Network, arrivals: &InputArrivals, options: &KmsOptions) -> u64 {
+    let engine = match options.engine {
+        Engine::SharedSat(p) => Engine::SharedSat(ParallelOptions { jobs: 1, ..p }),
+        other => other,
+    };
     let mut s = net.dump();
     for (pos, &input) in net.inputs().iter().enumerate() {
         let _ = writeln!(s, "arrival {pos} {}", arrivals.get(input));
@@ -105,7 +111,7 @@ pub(crate) fn fingerprint(net: &Network, arrivals: &InputArrivals, options: &Kms
         s,
         "options {:?} {:?} {} {} {} {} {}",
         options.condition,
-        options.engine,
+        engine,
         options.max_iterations,
         options.max_longest_paths,
         options.effort_cap,

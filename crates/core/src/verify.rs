@@ -283,8 +283,8 @@ impl StaticCrossCheck {
 /// refuted assumptions, and CODC cuts a per-blocker constant check plus
 /// a graph check that the cut separates the fault from every output.
 ///
-/// When `engine` is [`Engine::SharedSat`], its static prescreen is forced
-/// off (both tiers) so the oracle never consults the passes under test.
+/// No engine consults the passes under test: every engine encodes the
+/// plain circuit.
 ///
 /// With [`AnalysisOptions::certify`] set, the check is upgraded from
 /// "re-derive the answer" to "check an independent proof": the sweep logs
@@ -301,8 +301,6 @@ pub fn cross_check_static_analysis(
     let mut certification = opts.certify.then(CertificationReport::default);
     let engine = match engine {
         Engine::SharedSat(mut popts) => {
-            popts.static_prescreen = false;
-            popts.prescreen_dataflow = false;
             popts.certify = opts.certify;
             Engine::SharedSat(popts)
         }
@@ -894,8 +892,9 @@ mod tests {
 
     #[test]
     fn cross_check_forces_prescreen_off() {
-        // SharedSat normally consults the static pass; the cross-check
-        // must still be meaningful (and sound) through that engine.
+        // The cross-check must be meaningful (and sound) through the
+        // shared engine, the one the CLIs default to, and not only
+        // through the per-fault SAT miter.
         let net = fig4_c2_cone();
         let engine = Engine::SharedSat(kms_atpg::ParallelOptions::default());
         let check = cross_check_static_analysis(&net, &AnalysisOptions::default(), engine);

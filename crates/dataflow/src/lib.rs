@@ -17,13 +17,13 @@
 //!    case-splitting on unjustified gates with consequence
 //!    intersection, refuting fault detection conditions the one-hop
 //!    implication learner cannot reach and deriving indirect binary
-//!    implications that seed ATPG SAT queries as axioms.
+//!    implications ([`DataflowAnalysis::learned_implications`]).
 //!
 //! Every verdict carries a [`DfWitness`] that an independent checker
 //! replays against SAT miters; `kms-core::cross_check_static_analysis`
-//! does so (certified under `--certify`). The ATPG prescreen
-//! (`kms-atpg::ParallelOptions::prescreen_dataflow`), the `kms-lint`
-//! dataflow tier, and `kms-sweep --dataflow` all consume the results.
+//! does so (certified under `--certify`). The `kms-lint` dataflow tier
+//! and `kms-sweep --dataflow` consume the results, and `bench_sweep`
+//! scores them against the ATPG oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

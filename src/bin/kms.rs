@@ -17,11 +17,6 @@
 //!   -j, --jobs <N>          worker threads for the shared engine
 //!                           (default 0 = available parallelism, capped;
 //!                           1 forces fully in-line execution)
-//!       --prescreen <static|dataflow>
-//!                           with the shared engine: run the named static
-//!                           prescreen tier before the per-fault queries
-//!                           (dataflow implies static); the report is
-//!                           bit-identical either way, only the cost moves
 //!       --certify           log a DRAT proof for every UNSAT verdict the
 //!                           run depends on and re-check each with the
 //!                           independent proof checker
@@ -67,8 +62,6 @@ struct Args {
     arrivals: Vec<(String, i64)>,
     shared_engine: bool,
     jobs: usize,
-    prescreen_static: bool,
-    prescreen_dataflow: bool,
     certify: bool,
     fault_budget: Option<FaultBudget>,
     checkpoint: Option<String>,
@@ -86,8 +79,6 @@ fn parse_args() -> Result<Args, String> {
         arrivals: Vec::new(),
         shared_engine: true,
         jobs: 0,
-        prescreen_static: false,
-        prescreen_dataflow: false,
         certify: false,
         fault_budget: None,
         checkpoint: None,
@@ -132,14 +123,6 @@ fn parse_args() -> Result<Args, String> {
                 let n = it.next().ok_or("missing value for --jobs")?;
                 args.jobs = n.parse().map_err(|_| format!("bad job count {n:?}"))?;
             }
-            "--prescreen" => match it.next().as_deref() {
-                Some("static") => args.prescreen_static = true,
-                Some("dataflow") => {
-                    args.prescreen_static = true;
-                    args.prescreen_dataflow = true;
-                }
-                other => return Err(format!("unknown prescreen tier {other:?}")),
-            },
             "--certify" => args.certify = true,
             "--fault-budget" => {
                 let spec = it.next().ok_or("missing value for --fault-budget")?;
@@ -158,7 +141,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [-e shared|sat] [-j N] [--prescreen static|dataflow] [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
+                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [-e shared|sat] [-j N] [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
                 std::process::exit(0);
             }
             other if args.input.is_empty() => args.input = other.to_string(),
@@ -215,8 +198,6 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     let engine = if args.shared_engine {
         kms::atpg::Engine::SharedSat(kms::atpg::ParallelOptions {
             jobs: args.jobs,
-            static_prescreen: args.prescreen_static,
-            prescreen_dataflow: args.prescreen_dataflow,
             fault_budget: args.fault_budget,
             ..Default::default()
         })

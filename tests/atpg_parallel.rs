@@ -3,7 +3,8 @@
 //!
 //! * the `TestabilityReport` — verdicts *and* test vectors — is bit-identical
 //!   across `jobs ∈ {1, 2, 8}` and equal to repeated runs (the canonical
-//!   lex-min vector scheme makes results independent of thread scheduling);
+//!   lex-min vector scheme makes results independent of thread scheduling),
+//!   and a certified run reports exactly what a plain one does;
 //! * redundancy verdicts agree with the per-fault SAT engine;
 //! * dynamic fault-dropping (any `drop_patterns` setting) never changes the
 //!   redundant-fault set;
@@ -11,7 +12,10 @@
 
 use proptest::prelude::*;
 
-use kms::atpg::{analyze, fault_simulate, Engine, ParallelOptions, Testability};
+use kms::atpg::{
+    analyze, classify_faults_report, collapsed_faults, fault_simulate, Engine, ParallelOptions,
+    Testability,
+};
 use kms::gen::paper::fig1_carry_skip_block;
 use kms::gen::random::{random_network, RandomNetworkSpec};
 use kms::netlist::{transform, DelayModel, Network};
@@ -131,12 +135,16 @@ proptest! {
     /// at any job count — verdicts *and* canonical test vectors. A low
     /// `drop_patterns` keeps plenty of survivors flowing through the
     /// scheduler and the drop cascade rather than the random pre-screen.
+    /// The pool run may also be certified: both encode the same plain
+    /// CNF, so certification changes the cost, never the report, and
+    /// every emitted proof must check.
     #[test]
     fn work_stealing_bit_identical_on_random_netlists(
         seed in any::<u64>(),
         inputs in 3usize..8,
         gates in 8usize..40,
         jobs in 2usize..9,
+        certify in any::<bool>(),
     ) {
         let net = random_network(seed, RandomNetworkSpec {
             inputs,
@@ -145,14 +153,20 @@ proptest! {
             max_fanin: 3,
             max_delay: 2,
         });
-        let opts = |jobs| ParallelOptions {
+        let opts = |jobs, certify| ParallelOptions {
             jobs,
             drop_patterns: 8,
+            certify,
             ..Default::default()
         };
-        let seq = analyze(&net, Engine::SharedSat(opts(1)));
-        let par = analyze(&net, Engine::SharedSat(opts(jobs)));
-        prop_assert_eq!(seq, par);
+        let faults = collapsed_faults(&net);
+        let seq = classify_faults_report(&net, faults.clone(), opts(1, false));
+        let par = classify_faults_report(&net, faults, opts(jobs, certify));
+        prop_assert_eq!(seq.testability, par.testability);
+        prop_assert_eq!(par.certification.is_some(), certify);
+        if let Some(ledger) = &par.certification {
+            prop_assert_eq!(ledger.proofs_failed, 0, "failures: {:?}", ledger.failures);
+        }
     }
 
     /// A per-fault budget generous enough that no query aborts is

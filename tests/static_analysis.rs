@@ -6,12 +6,9 @@
 //!   (SAT miter), on random networks (property test) and on the Table I
 //!   suites;
 //! * every fault in the [`StaticRedundancyReport`] is classified
-//!   redundant by the full ATPG engine;
-//! * the final [`TestabilityReport`] is bit-identical with and without
-//!   the static prescreen.
+//!   redundant by the full ATPG engine.
 //!
 //! [`StaticRedundancyReport`]: kms::analysis::StaticRedundancyReport
-//! [`TestabilityReport`]: kms::atpg::TestabilityReport
 
 use std::collections::BTreeSet;
 
@@ -93,23 +90,18 @@ fn apply_merges(net: &Network, analysis: &StaticAnalysis) -> Network {
     out
 }
 
-/// The redundant fault set of the non-prescreened ATPG oracle.
+/// The redundant fault set of the ATPG oracle.
 fn oracle_redundant(net: &Network) -> BTreeSet<(FaultRef, bool)> {
-    let opts = ParallelOptions {
-        static_prescreen: false,
-        ..ParallelOptions::default()
-    };
-    analyze(net, Engine::SharedSat(opts))
+    analyze(net, Engine::SharedSat(ParallelOptions::default()))
         .redundant()
         .into_iter()
         .map(fault_ref)
         .collect()
 }
 
-/// Asserts the two acceptance criteria on one network: the static report
-/// is a subset of the ATPG redundant set, and the prescreened
-/// `TestabilityReport` is bit-identical to the plain one.
-fn check_report_and_identity(net: &Network, context: &str) {
+/// Asserts the acceptance criterion on one network: the static report is
+/// a subset of the ATPG redundant set.
+fn check_report_subset(net: &Network, context: &str) {
     let analysis = StaticAnalysis::build(net, &AnalysisOptions::default());
     let faults: Vec<(FaultRef, bool)> = collapsed_faults(net).into_iter().map(fault_ref).collect();
     let report = analysis.report(&faults);
@@ -122,16 +114,6 @@ fn check_report_and_identity(net: &Network, context: &str) {
             proof.stuck,
         );
     }
-    // Prescreen tiers default off since the E14 re-measurement; enable
-    // them explicitly so the bit-identity claim is still exercised.
-    let opts = ParallelOptions {
-        static_prescreen: true,
-        prescreen_dataflow: true,
-        ..ParallelOptions::default()
-    };
-    let with = analyze(net, Engine::SharedSat(opts));
-    let without = analyze(net, Engine::SharedSat(ParallelOptions::default()));
-    assert_eq!(with, without, "{context}: prescreen changed the report");
 }
 
 proptest! {
@@ -149,12 +131,11 @@ proptest! {
         );
     }
 
-    /// Every statically-proved fault is redundant per the ATPG oracle,
-    /// and the prescreen leaves the testability report bit-identical.
+    /// Every statically-proved fault is redundant per the ATPG oracle.
     #[test]
     fn static_proofs_sound_on_random_networks(seed in 1u64..2000) {
         let net = random_network(seed, spec());
-        check_report_and_identity(&net, &format!("seed {seed}"));
+        check_report_subset(&net, &format!("seed {seed}"));
     }
 }
 
@@ -179,7 +160,7 @@ fn merging_preserves_function_on_table1() {
 fn static_report_subset_of_atpg_on_table1() {
     for (bits, block) in [(2usize, 2usize), (4, 4), (8, 2)] {
         let net = table1_csa(bits, block);
-        check_report_and_identity(&net, &format!("csa {bits}.{block}"));
+        check_report_subset(&net, &format!("csa {bits}.{block}"));
     }
 }
 
@@ -187,7 +168,7 @@ fn static_report_subset_of_atpg_on_table1() {
 fn static_report_subset_of_atpg_on_mcnc() {
     for name in ["rd73", "misex1"] {
         let net = mcnc_net(name);
-        check_report_and_identity(&net, name);
+        check_report_subset(&net, name);
     }
 }
 
@@ -199,11 +180,11 @@ fn cross_check_sound_on_table1() {
         let net = table1_csa(bits, block);
         let check = cross_check_static_analysis(&net, &AnalysisOptions::default(), Engine::Sat);
         assert!(check.sound(), "csa {bits}.{block}: {check:?}");
-        // The prescreen acceptance floor: at least half of the redundant
-        // faults are proved without invoking SAT/PODEM.
+        // The static-proof acceptance floor: at least half of the
+        // redundant faults are proved without invoking SAT/PODEM.
         assert!(
             2 * check.static_proved >= check.oracle_redundant,
-            "csa {bits}.{block}: prescreen below 50% ({} of {})",
+            "csa {bits}.{block}: static proofs below 50% ({} of {})",
             check.static_proved,
             check.oracle_redundant,
         );
